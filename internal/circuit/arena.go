@@ -9,20 +9,28 @@ package circuit
 // which matches the remapper lifecycle (everything is reachable from the
 // Result).
 type IntArena struct {
-	buf []int
+	// Slab is the backing-array size in ints; zero means 4096. A slab stays
+	// reachable while any slice taken from it is, so a streaming consumer
+	// that keeps only a window of gates live wants small slabs.
+	Slab int
+	buf  []int
 }
 
-// arenaBlock is the backing-array growth unit (ints).
+// arenaBlock is the default backing-array size (elements).
 const arenaBlock = 4096
+
+// slabSize is the backing-array size for a request of n elements.
+func slabSize(slab, n int) int {
+	if slab <= 0 {
+		slab = arenaBlock
+	}
+	return max(slab, n)
+}
 
 // Take returns a zeroed slice of length n from the arena.
 func (a *IntArena) Take(n int) []int {
 	if len(a.buf)+n > cap(a.buf) {
-		size := arenaBlock
-		if n > size {
-			size = n
-		}
-		a.buf = make([]int, 0, size)
+		a.buf = make([]int, 0, slabSize(a.Slab, n))
 	}
 	off := len(a.buf)
 	a.buf = a.buf[:off+n]
@@ -40,17 +48,14 @@ func (a *IntArena) Reset() {
 // parameter slices when a whole circuit is copied at once (Schedule.Circuit),
 // where one allocation per gate would dominate the copy.
 type FloatArena struct {
-	buf []float64
+	Slab int // backing-array size in float64s; zero means 4096
+	buf  []float64
 }
 
 // Take returns a zeroed slice of length n from the arena.
 func (a *FloatArena) Take(n int) []float64 {
 	if len(a.buf)+n > cap(a.buf) {
-		size := arenaBlock
-		if n > size {
-			size = n
-		}
-		a.buf = make([]float64, 0, size)
+		a.buf = make([]float64, 0, slabSize(a.Slab, n))
 	}
 	off := len(a.buf)
 	a.buf = a.buf[:off+n]

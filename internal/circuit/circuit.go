@@ -35,6 +35,16 @@ func (c *Circuit) Add(g Gate) *Circuit {
 	return c
 }
 
+// TryAdd is Add for untrusted gates: it returns the validation error
+// instead of panicking, leaving the circuit unchanged.
+func (c *Circuit) TryAdd(g Gate) error {
+	if err := c.check(g); err != nil {
+		return err
+	}
+	c.Gates = append(c.Gates, g)
+	return nil
+}
+
 // check validates the gate and its indices against the circuit.
 func (c *Circuit) check(g Gate) error {
 	if err := g.Validate(); err != nil {

@@ -14,7 +14,10 @@ import (
 // Next returns the gates in program order and io.EOF after the last one.
 // Any other error is terminal: the stream is corrupt past that point and
 // callers must not retry. Returned gates are immutable and their slices
-// remain valid after subsequent Next calls.
+// remain valid after subsequent Next calls: a source never hands out the
+// same slice element twice. Sources may carve those slices from arenas
+// (IntArena, FloatArena), so a whole slab stays reachable while any gate
+// taken from it is live.
 type Source interface {
 	NumQubits() int
 	NumClbits() int
@@ -85,9 +88,10 @@ func (s *DecomposeSource) Next() (g Gate, err error) {
 		if err != nil {
 			return Gate{}, err
 		}
-		// The expansion buffer is drained before each refill; gate values
-		// already handed out keep their own qubit/parameter slices (the
-		// arenas and per-gate builders never recycle), so truncating is safe.
+		// The expansion buffer is drained before each refill. Gates already
+		// handed out keep their qubit/parameter slices — arena slices are
+		// never handed out twice and the builders allocate fresh ones — so
+		// truncating the buffer leaves them valid.
 		s.d.out.Gates = s.d.out.Gates[:0]
 		s.pos = 0
 		decomposeInto(&s.d, in)

@@ -2,6 +2,7 @@ package qasm
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"codar/internal/circuit"
@@ -98,5 +99,77 @@ func FuzzStreamQASM(f *testing.F) {
 	f.Add("OPENQASM 2.0 qreg q[")
 	f.Fuzz(func(t *testing.T, src string) {
 		checkStreamMatchesParse(t, src)
+	})
+}
+
+// writeSpecials are the parameter values a shortest-round-trip float
+// renderer is most likely to get wrong.
+var writeSpecials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.SmallestNonzeroFloat64 * 3,
+	1e300, -1e300, 1e-300, -1e-300, math.MaxFloat64,
+	math.NaN(), math.Inf(1), math.Inf(-1), -0.5, 1.0 / 3,
+}
+
+// FuzzWriteGate pins the append-based writer to the fmt-based oracle
+// (oracle_test.go): for a random gate — any op, qubit indices up to 65535,
+// measure/reset/barrier forms, and parameters drawn from the fuzzer or
+// from writeSpecials (negative, subnormal, ±0, 1e±300, NaN, ±Inf) — Write,
+// AppendGate and StreamWriter must each produce the oracle's bytes.
+//
+// CI runs this with -fuzztime 30s (see .github/workflows); locally:
+//
+//	go test -run FuzzWriteGate -fuzz FuzzWriteGate -fuzztime 30s ./internal/qasm/
+func FuzzWriteGate(f *testing.F) {
+	f.Add(uint8(circuit.OpU3), uint16(0), uint16(1), uint16(2), uint8(0), uint16(0), 0.5, -1e-300, 1e300, uint8(0))
+	f.Add(uint8(circuit.OpMeasure), uint16(65535), uint16(0), uint16(0), uint8(0), uint16(65535), 0.0, 0.0, 0.0, uint8(0))
+	f.Add(uint8(circuit.OpBarrier), uint16(7), uint16(300), uint16(65535), uint8(2), uint16(0), 0.0, 0.0, 0.0, uint8(0))
+	f.Add(uint8(circuit.OpReset), uint16(12), uint16(0), uint16(0), uint8(0), uint16(0), 0.0, 0.0, 0.0, uint8(0))
+	f.Add(uint8(circuit.OpU2), uint16(3), uint16(0), uint16(0), uint8(0), uint16(0), 0.0, 0.0, 0.0, uint8(0b111111))
+	f.Add(uint8(circuit.OpRZZ), uint16(1), uint16(2), uint16(0), uint8(0), uint16(0), math.Inf(-1), 0.0, 0.0, uint8(0))
+	f.Fuzz(func(t *testing.T, op uint8, a, b, c uint16, nq uint8, cbit uint16, p0, p1, p2 float64, special uint8) {
+		g := circuit.Gate{Op: circuit.Op(op % uint8(circuit.OpBarrier+1))}
+		qs := []int{int(a), int(b), int(c)}
+		n := g.Op.NumQubits()
+		if n == 0 {
+			n = int(nq)%len(qs) + 1 // barrier
+		}
+		g.Qubits = qs[:n]
+		if g.Op == circuit.OpMeasure {
+			g.Cbit = int(cbit)
+		}
+		ps := []float64{p0, p1, p2}
+		for i := range ps {
+			if sel := int(special>>(2*i)) & 3; sel != 0 {
+				ps[i] = writeSpecials[(int(special)+3*i+sel)%len(writeSpecials)]
+			}
+		}
+		if k := g.Op.NumParams(); k > 0 {
+			g.Params = ps[:k]
+		}
+		circ := &circuit.Circuit{NumQubits: 1 << 16, NumClbits: int(cbit) + 1, Gates: []circuit.Gate{g}}
+
+		if got, want := Write(circ), oracleWrite(circ); got != want {
+			t.Fatalf("Write = %q, oracle %q", got, want)
+		}
+		var line strings.Builder
+		oracleGate(&line, g)
+		prefix := []byte("kept;")
+		if got := string(AppendGate(prefix, g)); got != "kept;"+line.String() {
+			t.Fatalf("AppendGate = %q, oracle %q", got, line.String())
+		}
+		var out, header strings.Builder
+		sw, err := NewStreamWriter(&out, circ.NumQubits, circ.NumClbits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ { // the second gate reuses the buffer
+			if err := sw.WriteGate(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		oracleHeader(&header, "", circ.NumQubits, circ.NumClbits)
+		if want := header.String() + line.String() + line.String(); out.String() != want {
+			t.Fatalf("StreamWriter = %q, oracle %q", out.String(), want)
+		}
 	})
 }

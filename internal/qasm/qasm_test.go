@@ -514,3 +514,89 @@ func TestSuiteQASMRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestBuiltinOpMatchesOpByName pins the parser's allocation-free name
+// resolver to circuit.OpByName: every op name and alias in any case, and
+// near misses, resolve identically.
+func TestBuiltinOpMatchesOpByName(t *testing.T) {
+	names := []string{"cnot", "p", "phase", "u", "tof", "toffoli", "cphase", "cu1", "xx", "ms",
+		"", "c", "cxx", "u4", "toffolii", "measur", "barriers", "\xc0x", "x\xc0", "h_", "ID9"}
+	for o := circuit.Op(0); o <= circuit.OpBarrier; o++ {
+		names = append(names, o.Name())
+	}
+	for _, n := range names {
+		for _, v := range []string{n, strings.ToUpper(n), strings.ToUpper(n[:len(n)/2]) + n[len(n)/2:]} {
+			op, ok := builtinOp([]byte(v))
+			wop, wok := circuit.OpByName(v)
+			if op != wop || ok != wok {
+				t.Errorf("builtinOp(%q) = %v,%v; OpByName = %v,%v", v, op, ok, wop, wok)
+			}
+		}
+	}
+}
+
+// TestParseErrorMessages pins the diagnostics of malformed programs word
+// for word. The stream reports the same message, except that Parse puts a
+// lexical error anywhere in the source ahead of an earlier syntax error.
+func TestParseErrorMessages(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"qreg q[2];\nh q[2];\n", "qasm: line 2: index 2 out of range for \"q\"[2]"},
+		{"qreg a[2];\nqreg b[3];\ncx a[2], b[0];\n", "qasm: line 3: index 2 out of range for \"a\"[2]"},
+		{"qreg q[2];\nh q[0]\ncx q[0],q[1];\n@\n", "qasm: line 4: unexpected character '@'"},
+		{"qreg q[2];\nfoo q[0];\n", "qasm: line 2: unknown gate \"foo\""},
+		{"qreg q[2];\ncx q[0], q[0];\n", "qasm: line 2: circuit: cx uses qubit 0 twice"},
+		{"qreg q[2];\ncreg c[2];\nh c[0];\n", "qasm: line 3: unknown quantum register \"c\""},
+		{"qreg q[2];\nh q[0], q[1];\n", "qasm: line 2: circuit: h expects 1 qubits, got 2"},
+		{"qreg q[2];\nrz(theta) q[0];\n", "qasm: line 2: qasm: unbound parameter \"theta\""},
+		{"qreg q[2];\nrz(1/0) q[0];\n", "qasm: line 2: qasm: division by zero"},
+		{"qreg q[2];\ngate g(a) x { rz(b) x; }\ng(1) q[0];\n", "qasm: gate \"g\": qasm: unbound parameter \"b\""},
+		{"qreg q[2];\ngate g x, y { cx x, z; }\ng q[0], q[1];\n", "qasm: gate \"g\": unbound argument \"z\""},
+		{"qreg q[2];\ngate g x { h x; }\ng(1) q[0];\n", "qasm: line 3: gate \"g\" expects 0 params, got 1"},
+		{"qreg q[2];\nmeasure q[0] -> c[0];\n", "qasm: line 2: unknown classical register \"c\""},
+		{"qreg q[2];\ncreg c[3];\nmeasure q -> c;\n", "qasm: line 3: measure size mismatch (2 qubits -> 3 bits)"},
+		{"qreg q[2];\nqreg q[1];\n", "qasm: line 2: register \"q\" redeclared"},
+		{"h q[0];\n", "qasm: statement before any qreg declaration"},
+		{"qreg q[0];\n", "qasm: line 1: register \"q\" has size 0"},
+		{"qreg q[2];\nh q[1.5];\n", "qasm: line 2: expected integer, found \"1.5\""},
+		{"qreg q[2];\nh q[0] q[1];\n", "qasm: line 2: expected \";\", found \"q\""},
+		{"qreg q[2];\nif (c == 1) x q[0];\n", "qasm: line 2: classical control (if) is not supported"},
+		{"include qelib1;\n", "qasm: line 1: expected file name after include"},
+		{"OPENQASM x;\n", "qasm: line 1: expected version number"},
+		{"qreg q[2];\nu3(1,2) q[0];\n", "qasm: line 2: circuit: u3 expects 3 params, got 2"},
+		{"qreg q[2];\nh q[0];\n\"open\n", "qasm: line 3: unterminated string"},
+		{"qreg q[2];\ngate g x {\n h x;\n", "qasm: unterminated body of gate \"g\""},
+		{"qreg q[2];\nbarrier q[0], r;\n", "qasm: line 2: unknown quantum register \"r\""},
+		{"qreg q[2];\nreset q[4];\n", "qasm: line 2: index 4 out of range for \"q\"[2]"},
+		{"qreg q[2];\nqreg r[3];\ncx q, r;\n", "qasm: line 3: broadcast register sizes differ (2 vs 3)"},
+		{"qreg q[2];\nrz(sin 1) q[0];\n", "qasm: line 2: expected \"(\", found \"1\""},
+		{"qreg q[2];\nrz(ln(0)) q[0];\n", "qasm: line 2: qasm: ln of non-positive value"},
+		{"qreg q[2];\nrz(sqrt(-1)) q[0];\n", "qasm: line 2: qasm: sqrt of negative value"},
+		{"qreg q[2];\nrz(1e999) q[0];\n", "qasm: line 2: bad number \"1e999\""},
+		{"qreg q[2];\nrz(+) q[0];\n", "qasm: line 2: unexpected token \")\" in expression"},
+		// The same errors after a first gate, where the one-line fast path
+		// sees the statement first and must hand it to the token parser.
+		{"qreg q[2];\nh q[0];\nh q[2];\n", "qasm: line 3: index 2 out of range for \"q\"[2]"},
+		{"qreg a[2];\nqreg b[3];\nh a[0];\ncx a[2], b[0];\n", "qasm: line 4: index 2 out of range for \"a\"[2]"},
+		{"qreg q[2];\nh q[0];\nh r[0];\n", "qasm: line 3: unknown quantum register \"r\""},
+		{"qreg q[2];\ncreg c[2];\nh q[0];\nh c[0];\n", "qasm: line 4: unknown quantum register \"c\""},
+		{"qreg q[2];\nh q[0];\ncx q[1], q[1];\n", "qasm: line 3: circuit: cx uses qubit 1 twice"},
+		{"qreg q[2];\nh q[0];\nh q[1.5];\n", "qasm: line 3: expected integer, found \"1.5\""},
+		{"qreg q[2];\nh q[0];\nh q[99999999999];\n", "qasm: line 3: index 99999999999 out of range for \"q\"[2]"},
+	}
+	streamWant := map[string]string{
+		"qreg q[2];\nh q[0]\ncx q[0],q[1];\n@\n": "qasm: line 3: expected \";\", found \"cx\"",
+	}
+	for _, tc := range cases {
+		_, err := Parse(tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) error = %v, want %q", tc.src, err, tc.want)
+		}
+		want, ok := streamWant[tc.src]
+		if !ok {
+			want = tc.want
+		}
+		if _, err := drainStream(tc.src); err == nil || err.Error() != want {
+			t.Errorf("Stream(%q) error = %v, want %q", tc.src, err, want)
+		}
+	}
+}

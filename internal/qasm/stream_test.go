@@ -1,16 +1,24 @@
 package qasm
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"codar/internal/circuit"
 )
 
-// drainStream collects every gate a Stream yields, or the terminal error.
+// drainStream collects every gate a Stream over src yields, or the
+// terminal error.
 func drainStream(src string) (*circuit.Circuit, error) {
-	s, err := NewStream(strings.NewReader(src))
+	return drainReader(strings.NewReader(src))
+}
+
+// drainReader is drainStream over any reader.
+func drainReader(r io.Reader) (*circuit.Circuit, error) {
+	s, err := NewStream(r)
 	if err != nil {
 		return nil, err
 	}
@@ -31,7 +39,10 @@ func drainStream(src string) (*circuit.Circuit, error) {
 
 // checkStreamMatchesParse pins the streaming front end's contract: same
 // accept/reject verdict as Parse and, on accept, the identical gate
-// sequence and register totals.
+// sequence and register totals. The stream is also read one byte per
+// Read, with io.EOF arriving together with the last byte, which moves every
+// lexer refill into the middle of statements and tokens: that must change
+// neither the gates nor the error.
 func checkStreamMatchesParse(t *testing.T, src string) {
 	t.Helper()
 	want, werr := Parse(src)
@@ -39,19 +50,30 @@ func checkStreamMatchesParse(t *testing.T, src string) {
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("verdict mismatch: Parse err=%v, Stream err=%v\nsource:\n%s", werr, gerr, src)
 	}
+	slow, serr := drainReader(iotest.DataErrReader(iotest.OneByteReader(strings.NewReader(src))))
+	if fmt.Sprint(serr) != fmt.Sprint(gerr) {
+		t.Fatalf("one-byte reads changed the error: %v, want %v\nsource:\n%s", serr, gerr, src)
+	}
 	if werr != nil {
 		return
 	}
+	checkSameGates(t, "one-byte stream", slow, got)
+	checkSameGates(t, "stream", got, want)
+}
+
+// checkSameGates compares a streamed circuit against the batch one.
+func checkSameGates(t *testing.T, what string, got, want *circuit.Circuit) {
+	t.Helper()
 	if got.NumQubits != want.NumQubits || got.NumClbits != want.NumClbits {
-		t.Fatalf("register mismatch: stream %d/%d, batch %d/%d",
-			got.NumQubits, got.NumClbits, want.NumQubits, want.NumClbits)
+		t.Fatalf("register mismatch: %s %d/%d, batch %d/%d",
+			what, got.NumQubits, got.NumClbits, want.NumQubits, want.NumClbits)
 	}
 	if len(got.Gates) != len(want.Gates) {
-		t.Fatalf("gate count mismatch: stream %d, batch %d", len(got.Gates), len(want.Gates))
+		t.Fatalf("gate count mismatch: %s %d, batch %d", what, len(got.Gates), len(want.Gates))
 	}
 	for i := range got.Gates {
 		if !got.Gates[i].Equal(want.Gates[i]) {
-			t.Fatalf("gate %d mismatch: stream %v, batch %v", i, got.Gates[i], want.Gates[i])
+			t.Fatalf("gate %d mismatch: %s %v, batch %v", i, what, got.Gates[i], want.Gates[i])
 		}
 	}
 }
@@ -135,4 +157,52 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestStreamLongStatement streams a gate definition far longer than the
+// lexer buffer, one byte per read: every token of the statement must stay
+// readable while the buffer refills and grows under it.
+func TestStreamLongStatement(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("qreg q[3];\ngate long(theta) a, b, c {\n")
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&b, "  rz(theta*%d/7) a; cx a,\n    b; u3(theta, -theta/2, %d) c;\n", i, i)
+	}
+	b.WriteString("}\nlong(0.25) q[0], q[1], q[2];\nh q[0];\n")
+	src := b.String()
+	if len(src) < 4*lexBufSize {
+		t.Fatalf("statement of %d bytes does not outgrow the %d-byte buffer", len(src), lexBufSize)
+	}
+	checkStreamMatchesParse(t, src)
+}
+
+// TestStreamBufferStaysSmall pins the lexer's residency: blank and comment
+// lines between statements, and a long run of statements, are dropped on
+// refill instead of accumulating in the buffer.
+func TestStreamBufferStaysSmall(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("qreg q[2];\nh q[0];\n")
+	for i := 0; i < 5000; i++ {
+		b.WriteString("// a comment line between two statements\n\n")
+	}
+	for i := 0; i < 5000; i++ {
+		b.WriteString("cx q[0], q[1];\n")
+	}
+	s, err := NewStream(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := s.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(s.p.lx.buf); got != lexBufSize {
+		t.Fatalf("lexer buffer grew to %d bytes, want %d", got, lexBufSize)
+	}
+	if s.Gates() != 5001 {
+		t.Fatalf("gates = %d, want 5001", s.Gates())
+	}
 }

@@ -182,16 +182,16 @@ func (s *Server) serveMapStream(ctx context.Context, w http.ResponseWriter, req 
 	}
 
 	seq := 0
-	var sb strings.Builder
+	var buf []byte // chunk rendering, reused across chunks
 	sink := schedule.FuncSink(func(chunk []schedule.ScheduledGate) error {
-		sb.Reset()
+		buf = buf[:0]
 		for i := range chunk {
-			qasm.AppendGate(&sb, chunk[i].Gate)
+			buf = qasm.AppendGate(buf, chunk[i].Gate)
 		}
 		rec := &api.StreamRecord{Type: api.StreamTypeChunk, Chunk: &api.StreamChunk{
 			Seq:   seq,
 			Gates: len(chunk),
-			QASM:  sb.String(),
+			QASM:  string(buf),
 		}}
 		seq++
 		return emit(rec)
